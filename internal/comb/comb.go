@@ -12,15 +12,18 @@
 // earlier whose window overlaps the current one is nested inside it.
 // Each job first reuses active non-full slots of its window latest
 // first (a predecessor-bitset walk), then lazily activates the latest
-// inactive slots (a union-find walk) for any deficit. A final lazy
-// deactivation sweep tries to drain lightly-loaded slots into the
-// residual capacity of other active slots and close them. The
-// schedule is validated by sched.Validate before it is returned; if
-// the greedy ever comes up short (never observed on feasible input —
-// the differential fuzz target pins cost equality with internal/exact)
-// it falls back to a flowfeas max-flow schedule over all candidate
-// slots, trimmed by the same deactivation sweep, and counts the event
-// in the comb_fallbacks metric.
+// inactive slots (a union-find walk) for any deficit. When a job's
+// window is exhausted before it is placed in full (every slot full or
+// already its own — common once jobs are longer than one slot), each
+// missing unit is repaired by a shortest augmenting path in the
+// residual job×slot graph: nested jobs shift within their own windows
+// until a slot with spare capacity absorbs the last move (counted in
+// the comb_repairs metric). When no path exists, max-flow duality
+// says the instance is infeasible, and that is reported without a
+// flow solve. A final lazy deactivation sweep tries to drain
+// lightly-loaded slots into the residual capacity of other active
+// slots and close them. The schedule is validated by sched.Validate
+// before it is returned.
 package comb
 
 import (
@@ -28,7 +31,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/flowfeas"
 	"repro/internal/instance"
 	"repro/internal/interval"
 	"repro/internal/lamtree"
@@ -66,10 +68,9 @@ type Report struct {
 	Reused int64
 	// Deactivated counts slots closed by the lazy-deactivation sweep.
 	Deactivated int64
-	// Fallback reports that the greedy came up short and the schedule
-	// was rebuilt by the max-flow fallback (never expected on feasible
-	// input; mirrored by the comb_fallbacks counter).
-	Fallback bool
+	// Repairs counts augmenting paths taken to place units the greedy
+	// left short (mirrored by the comb_repairs counter).
+	Repairs int64
 	// Depth is the laminar forest's maximum nesting depth.
 	Depth int
 	// Stats is the instrumentation snapshot when Options.Metrics was
@@ -87,8 +88,9 @@ func Solve(in *instance.Instance) (*sched.Schedule, *Report, error) {
 
 // SolveContext runs the combinatorial solver. It requires nested
 // (laminar) windows and returns a feasible validated schedule, an
-// error for non-laminar or infeasible input, or ctx.Err() on
-// cancellation (checked every placement block).
+// error for non-laminar input, an error wrapping ErrInfeasible for
+// infeasible input, or ctx.Err() on cancellation (checked every
+// placement block and inside each augmenting-path search).
 func SolveContext(ctx context.Context, in *instance.Instance, opts Options) (*sched.Schedule, *Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -138,31 +140,13 @@ func SolveContext(ctx context.Context, in *instance.Instance, opts Options) (*sc
 
 	stop = rec.StartStage(metrics.StageCombActivate)
 	asp := sp.StartChild("comb_activate")
-	short, err := st.place(ctx)
+	err = st.place(ctx)
 	asp.End()
 	stop()
 	if err != nil {
 		return nil, nil, err
 	}
-	rep.Activated, rep.Reused = st.activated, st.reused
-
-	if short {
-		// The greedy could not place some job. Distinguish a genuinely
-		// infeasible instance from a greedy failure: run the exact
-		// max-flow feasibility schedule over every candidate slot and,
-		// if one exists, adopt it (the deactivation sweep below trims
-		// the all-open solution back down).
-		rec.CombFallbacks.Inc()
-		rep.Fallback = true
-		fsp := sp.StartChild("comb_fallback")
-		s, ferr := flowfeas.ScheduleOnSlots(in, in.SortedSlots())
-		fsp.End()
-		if ferr != nil {
-			return nil, nil, fmt.Errorf("comb: %w", ferr)
-		}
-		st.loadSchedule(s)
-		rep.Activated = st.activated
-	}
+	rep.Activated, rep.Reused, rep.Repairs = st.activated, st.reused, st.repairs
 
 	stop = rec.StartStage(metrics.StageCombDeactivate)
 	dsp := sp.StartChild("comb_deactivate")
@@ -187,6 +171,7 @@ func SolveContext(ctx context.Context, in *instance.Instance, opts Options) (*sc
 	rec.CombActivations.Add(st.activated)
 	rec.CombReused.Add(st.reused)
 	rec.CombDeactivations.Add(st.deactivated)
+	rec.CombRepairs.Add(st.repairs)
 	rep.ActiveSlots = out.NumActive()
 	if opts.CaptureWarm {
 		rep.Warm = st.captureWarm()
@@ -211,10 +196,11 @@ type state struct {
 	jobHi    []int32   // per job, one past the last slot index
 	jobSlots [][]int32 // per job, the slot indices it occupies
 
-	inact *leftDSU // latest still-inactive slot ≤ t
-	avail *predSet // active slots with load < g
+	inact *leftDSU    // latest still-inactive slot ≤ t
+	avail *predSet    // active slots with load < g
+	aug   *augScratch // augmenting-path scratch, made on first repair
 
-	activated, reused, deactivated int64
+	activated, reused, deactivated, repairs int64
 }
 
 func newState(in *instance.Instance, t *lamtree.Tree) (*state, error) {
@@ -274,9 +260,7 @@ func innermostOrder(in *instance.Instance, order []int) {
 }
 
 // place runs the lazy-activation pass over all jobs innermost-first.
-// It returns short=true when some job could not gather enough distinct
-// slots (deferred to the fallback path).
-func (st *state) place(ctx context.Context) (short bool, err error) {
+func (st *state) place(ctx context.Context) error {
 	order := make([]int, st.in.N())
 	for i := range order {
 		order[i] = i
@@ -286,15 +270,16 @@ func (st *state) place(ctx context.Context) (short bool, err error) {
 }
 
 // placeOrder runs the lazy-activation pass over the given jobs in the
-// given order. The warm-start resume path reuses it to place only the
-// delta's new jobs on top of a restored placement.
-func (st *state) placeOrder(ctx context.Context, order []int) (short bool, err error) {
+// given order, repairing any unit the greedy cannot place by an
+// augmenting path. The warm-start resume path reuses it to place only
+// the delta's new jobs on top of a restored placement.
+func (st *state) placeOrder(ctx context.Context, order []int) error {
 	in := st.in
 	chosen := make([]int32, 0, 64)
 	for k, ji := range order {
 		if k&1023 == 1023 {
 			if err := ctx.Err(); err != nil {
-				return false, err
+				return err
 			}
 		}
 		j := in.Jobs[ji]
@@ -317,10 +302,7 @@ func (st *state) placeOrder(ctx context.Context, order []int) (short bool, err e
 			st.activated++
 			s = st.inact.find(s - 1)
 		}
-		if need > 0 {
-			return true, nil
-		}
-		slots := make([]int32, len(chosen))
+		slots := make([]int32, len(chosen), len(chosen)+need)
 		copy(slots, chosen)
 		st.jobSlots[ji] = slots
 		for _, s := range chosen {
@@ -331,45 +313,21 @@ func (st *state) placeOrder(ctx context.Context, order []int) (short bool, err e
 				st.avail.clear(si)
 			}
 		}
-	}
-	return false, nil
-}
-
-// loadSchedule replaces the placement state with an externally
-// computed schedule (the max-flow fallback), so the deactivation sweep
-// and extraction below run unchanged.
-func (st *state) loadSchedule(s *sched.Schedule) {
-	n := len(st.load)
-	st.load = make([]int64, n)
-	st.slotJobs = make([][]int32, n)
-	st.jobSlots = make([][]int32, st.in.N())
-	st.inact = newLeftDSU(n)
-	st.avail = newPredSet(n)
-	st.activated, st.reused = 0, 0
-	times := make([]int64, 0, len(s.Slots))
-	for t := range s.Slots {
-		times = append(times, t)
-	}
-	sort.Slice(times, func(a, b int) bool { return times[a] < times[b] })
-	for _, tm := range times {
-		jobs := append([]int(nil), s.Slots[tm]...)
-		if len(jobs) == 0 {
-			continue
-		}
-		sort.Ints(jobs)
-		r := sort.Search(len(st.roots), func(k int) bool { return st.roots[k].End > tm })
-		si := int(st.off[r] + (tm - st.roots[r].Start))
-		st.inact.remove(si)
-		st.activated++
-		for _, ji := range jobs {
-			st.load[si]++
-			st.slotJobs[si] = append(st.slotJobs[si], int32(ji))
-			st.jobSlots[ji] = append(st.jobSlots[ji], int32(si))
-		}
-		if st.load[si] < st.in.G {
-			st.avail.set(si)
+		// Every slot of the window is now full or already this job's:
+		// place each missing unit by an augmenting path.
+		for ; need > 0; need-- {
+			ok, err := st.augment(ctx, ji)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				return fmt.Errorf("%w: job %d (p=%d, window [%d,%d)) has no augmenting path",
+					ErrInfeasible, ji, j.Processing, j.Release, j.Deadline)
+			}
+			st.repairs++
 		}
 	}
+	return nil
 }
 
 // maxProbes bounds the predecessor-walk length when hunting a

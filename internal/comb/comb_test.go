@@ -2,6 +2,7 @@ package comb
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/flowfeas"
 	"repro/internal/gen"
 	"repro/internal/instance"
+	"repro/internal/lamtree"
 )
 
 // TestChainMatchesExact pins cost equality with the exact solver on
@@ -179,6 +181,100 @@ func TestInfeasible(t *testing.T) {
 	})
 	if _, _, err := Solve(in); err == nil {
 		t.Fatal("want error on infeasible instance")
+	}
+}
+
+// TestRepairTightParent pins the shape on which the greedy used to
+// come up short: a 3-slot parent window around a 1-slot child whose
+// slot the greedy fills to g, and enough p=2 parent jobs to fill both
+// pad slots. The last parent job finds every slot full or its own and
+// must be placed by an augmenting path, at the exact optimum.
+func TestRepairTightParent(t *testing.T) {
+	for _, in := range []*instance.Instance{
+		instance.MustNew(3, []instance.Job{
+			{Processing: 1, Release: 1, Deadline: 2},
+			{Processing: 2, Release: 0, Deadline: 3},
+			{Processing: 2, Release: 0, Deadline: 3},
+			{Processing: 2, Release: 0, Deadline: 3},
+			{Processing: 2, Release: 0, Deadline: 3},
+		}),
+		instance.MustNew(2, []instance.Job{
+			{Processing: 2, Release: 0, Deadline: 3},
+			{Processing: 2, Release: 0, Deadline: 3},
+			{Processing: 2, Release: 0, Deadline: 3},
+		}),
+	} {
+		s, rep, err := Solve(in)
+		if err != nil {
+			t.Fatalf("%v: %v", in.Jobs, err)
+		}
+		if err := s.Validate(in); err != nil {
+			t.Fatalf("%v: invalid schedule: %v", in.Jobs, err)
+		}
+		opt, err := exact.Opt(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.ActiveSlots != opt {
+			t.Errorf("%v: comb=%d exact=%d", in.Jobs, rep.ActiveSlots, opt)
+		}
+		if rep.Repairs == 0 || rep.Stats.Counters.CombRepairs != rep.Repairs {
+			t.Errorf("%v: repairs=%d comb_repairs=%d, want equal and > 0",
+				in.Jobs, rep.Repairs, rep.Stats.Counters.CombRepairs)
+		}
+		if rep.Stats.Counters.DinicRuns != 0 {
+			t.Errorf("%v: %d max-flow runs, want none", in.Jobs, rep.Stats.Counters.DinicRuns)
+		}
+	}
+}
+
+// TestRepairNoPathInfeasible is a tight infeasible case the greedy
+// does not reject on its own: the p=2 job opens slot 0, then finds
+// slot 1 full of unit jobs that cannot move. The search finds no
+// augmenting path and must report infeasibility.
+func TestRepairNoPathInfeasible(t *testing.T) {
+	in := instance.MustNew(2, []instance.Job{
+		{Processing: 1, Release: 1, Deadline: 2},
+		{Processing: 1, Release: 1, Deadline: 2},
+		{Processing: 2, Release: 0, Deadline: 2},
+	})
+	if _, _, err := Solve(in); !errors.Is(err, ErrInfeasible) {
+		t.Fatalf("err = %v, want ErrInfeasible", err)
+	}
+}
+
+// TestRepairCanceled checks the context inside a long search: 600
+// full single-slot children under a unit parent at g=1 queue 600 slots
+// before the search can conclude anything.
+func TestRepairCanceled(t *testing.T) {
+	const n = 600
+	jobs := []instance.Job{{Processing: 1, Release: 0, Deadline: n}}
+	for i := int64(0); i < n; i++ {
+		jobs = append(jobs, instance.Job{Processing: 1, Release: i, Deadline: i + 1})
+	}
+	in := instance.MustNew(1, jobs)
+	tr, err := lamtree.Build(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := newState(in, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	children := make([]int, n)
+	for i := range children {
+		children[i] = i + 1
+	}
+	if err := st.placeOrder(context.Background(), children); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := st.augment(ctx, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if ok, err := st.augment(context.Background(), 0); ok || err != nil {
+		t.Fatalf("augment = %v, %v; want no path", ok, err)
 	}
 }
 

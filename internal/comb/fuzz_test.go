@@ -21,19 +21,35 @@ import (
 //     certified ratio of the same exact optimum;
 //   - neither solver may claim fewer slots than OPT.
 //
+// tight switches to gen's tight forests (every window owns just enough
+// slots for its own jobs, p ∈ {1,2}) at g ∈ {2,3,4}: the shapes on
+// which the greedy runs out of room and the augmenting-path repair
+// runs, which the default shapes rarely reach.
+//
 // Instance sizes are capped so the branch-and-bound exact solver stays
 // tractable as the oracle. Run via `make fuzz-smoke` (and CI).
 func FuzzDifferentialNested(f *testing.F) {
-	f.Add(int64(1), uint8(8), uint8(2), true)
-	f.Add(int64(7), uint8(12), uint8(3), false)
-	f.Add(int64(99), uint8(5), uint8(1), true)
-	f.Add(int64(42), uint8(10), uint8(2), false)
-	f.Add(int64(-3), uint8(255), uint8(0), false)
-	f.Fuzz(func(t *testing.T, seed int64, n, g uint8, unit bool) {
+	f.Add(int64(1), uint8(8), uint8(2), true, false)
+	f.Add(int64(7), uint8(12), uint8(3), false, false)
+	f.Add(int64(99), uint8(5), uint8(1), true, false)
+	f.Add(int64(42), uint8(10), uint8(2), false, false)
+	f.Add(int64(-3), uint8(255), uint8(0), false, false)
+	// Tight seeds whose comb solve takes an augmenting path.
+	f.Add(int64(1), uint8(1), uint8(0), false, true)
+	f.Add(int64(6), uint8(6), uint8(1), false, true)
+	f.Add(int64(14), uint8(14), uint8(0), false, true)
+	f.Add(int64(186), uint8(186), uint8(2), false, true)
+	// A tight unit shape, where comb must stay exact.
+	f.Add(int64(5), uint8(9), uint8(1), true, true)
+	f.Fuzz(func(t *testing.T, seed int64, n, g uint8, unit, tight bool) {
 		jobs := 2 + int(n)%11 // 2..12: exact oracle stays cheap
 		capg := 1 + int64(g)%3
-		rng := rand.New(rand.NewSource(seed))
 		params := gen.DefaultLaminar(jobs, capg)
+		if tight {
+			capg = 2 + int64(g)%3
+			params = gen.TightLaminar(jobs, capg)
+		}
+		rng := rand.New(rand.NewSource(seed))
 		in := gen.RandomLaminar(rng, params)
 		if unit {
 			in = gen.RandomUnitLaminar(rng, params)

@@ -14,8 +14,10 @@ import (
 )
 
 // ErrWarmMismatch reports that a retained WarmState cannot be resumed
-// for the given instance (structural drift, or the greedy came up
-// short replaying the delta). Callers treat it as "solve cold".
+// for the given instance: structural drift between the snapshot and
+// the instance, or a delta that is infeasible (some new job has no
+// augmenting path on top of the base placement). Callers treat it as
+// "solve cold".
 var ErrWarmMismatch = errors.New("comb: warm state does not match instance")
 
 // WarmState is a compact snapshot of a finished placement, retained by
@@ -145,7 +147,11 @@ func ResumeRaiseG(ctx context.Context, in *instance.Instance, w *WarmState, opts
 // jobs are replayed through lazy activation, then the deactivation
 // sweep runs over the combined placement. The result's active-slot
 // count never exceeds the snapshot's plus the new jobs' total
-// processing.
+// processing. A new job the greedy cannot place in full is repaired by
+// the same augmenting-path search as a cold solve; a base job may
+// enclose the new one here, so the search follows every moved job over
+// its own window, and the result is still exact: the resume fails only
+// when the delta is infeasible.
 func ResumeSuperset(ctx context.Context, in *instance.Instance, w *WarmState, mapping []int32, newJobs []int, opts Options) (*sched.Schedule, *Report, error) {
 	if in.G != w.G || len(mapping) != w.Jobs || w.Jobs+len(newJobs) != in.N() {
 		return nil, nil, fmt.Errorf("%w: superset shape (jobs %d+%d vs %d, g %d vs %d)",
@@ -185,23 +191,18 @@ func resume(ctx context.Context, in *instance.Instance, w *WarmState, mapping []
 		psp := sp.StartChild("warm_place_new")
 		order := append([]int(nil), newJobs...)
 		innermostOrder(in, order)
-		short, perr := st.placeOrder(ctx, order)
+		perr := st.placeOrder(ctx, order)
 		psp.End()
+		if errors.Is(perr, ErrInfeasible) {
+			perr = fmt.Errorf("%w: %v", ErrWarmMismatch, perr)
+		}
 		if perr != nil {
 			stop()
 			return nil, nil, perr
 		}
-		if short {
-			// The incremental greedy could not fit some new job on top
-			// of the frozen base placement. Rather than rebuilding from
-			// scratch here, report a mismatch so the caller solves cold
-			// (which also refreshes the retained state).
-			stop()
-			return nil, nil, fmt.Errorf("%w: incremental placement came up short", ErrWarmMismatch)
-		}
 	}
 	stop()
-	rep.Activated, rep.Reused = st.activated, st.reused
+	rep.Activated, rep.Reused, rep.Repairs = st.activated, st.reused, st.repairs
 
 	stop = rec.StartStage(metrics.StageCombDeactivate)
 	dsp := sp.StartChild("comb_deactivate")
@@ -226,6 +227,7 @@ func resume(ctx context.Context, in *instance.Instance, w *WarmState, mapping []
 	rec.CombActivations.Add(st.activated)
 	rec.CombReused.Add(st.reused)
 	rec.CombDeactivations.Add(st.deactivated)
+	rec.CombRepairs.Add(st.repairs)
 	rep.ActiveSlots = out.NumActive()
 	if opts.CaptureWarm {
 		rep.Warm = st.captureWarm()

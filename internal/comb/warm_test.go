@@ -1,10 +1,12 @@
 package comb
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"repro/internal/exact"
+	"repro/internal/flowfeas"
 	"repro/internal/gen"
 	"repro/internal/instance"
 )
@@ -93,6 +95,7 @@ func TestResumeRaiseGChained(t *testing.T) {
 // the retained forest is guaranteed.
 func TestResumeSuperset(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
+	var repaired, infeasible int64
 	for i := 0; i < 200; i++ {
 		n := 3 + rng.Intn(9)
 		g := int64(2 + rng.Intn(3))
@@ -121,15 +124,24 @@ func TestResumeSuperset(t *testing.T) {
 		for j := range newJobs {
 			newJobs[j] = n + j
 		}
+		feasible := flowfeas.CheckSlots(delta, delta.SortedSlots())
 		s, wrep, err := ResumeSuperset(nil, delta, rep.Warm, mapping, newJobs, Options{})
 		if err != nil {
-			// The grown instance may be infeasible, or the incremental
-			// greedy may come up short; both are mismatch-and-fall-back
-			// territory, not failures — but only if the delta really is
-			// hard: on a feasible delta a shortfall is allowed (fallback),
-			// an invalid schedule is not (resume validates internally).
+			// The augmenting-path repair makes the resume exact: it may
+			// fail only on an infeasible delta, as a mismatch.
+			if feasible {
+				t.Fatalf("case %d: resume failed on a feasible delta: %v\n%v", i, err, delta.Jobs)
+			}
+			if !errors.Is(err, ErrWarmMismatch) {
+				t.Fatalf("case %d: infeasible delta: err = %v, want ErrWarmMismatch", i, err)
+			}
+			infeasible++
 			continue
 		}
+		if !feasible {
+			t.Fatalf("case %d: resume scheduled an infeasible delta", i)
+		}
+		repaired += wrep.Repairs
 		if err := s.Validate(delta); err != nil {
 			t.Fatalf("case %d: invalid warm schedule: %v", i, err)
 		}
@@ -137,6 +149,42 @@ func TestResumeSuperset(t *testing.T) {
 			t.Fatalf("case %d: warm %d > base %d + new %d (monotone invariant)",
 				i, wrep.ActiveSlots, rep.ActiveSlots, pNew)
 		}
+	}
+	if repaired == 0 || infeasible == 0 {
+		t.Errorf("seeded deltas reached %d repairs and %d infeasible cases; want both > 0", repaired, infeasible)
+	}
+}
+
+// TestResumeSupersetRepairAcrossEnclosingJob places a new job whose
+// only slot is held by an enclosing base job at g=1: the repair must
+// move the base job outside the new job's window, into a slot it
+// activates because no active one has room.
+func TestResumeSupersetRepairAcrossEnclosingJob(t *testing.T) {
+	base := instance.MustNew(1, []instance.Job{{Processing: 1, Release: 0, Deadline: 2}})
+	_, rep, err := SolveContext(nil, base, Options{CaptureWarm: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := instance.MustNew(1, []instance.Job{
+		{Processing: 1, Release: 0, Deadline: 2},
+		{Processing: 1, Release: 1, Deadline: 2},
+	})
+	s, wrep, err := ResumeSuperset(nil, delta, rep.Warm, []int32{0}, []int{1}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Validate(delta); err != nil {
+		t.Fatal(err)
+	}
+	if wrep.Repairs != 1 || wrep.ActiveSlots != 2 {
+		t.Fatalf("repairs=%d active=%d, want 1 and 2", wrep.Repairs, wrep.ActiveSlots)
+	}
+
+	// One more unit in [1,2) has no slot left: infeasible, reported as
+	// a mismatch.
+	over := instance.MustNew(1, append(delta.Jobs, instance.Job{Processing: 1, Release: 1, Deadline: 2}))
+	if _, _, err := ResumeSuperset(nil, over, rep.Warm, []int32{0}, []int{1, 2}, Options{}); !errors.Is(err, ErrWarmMismatch) {
+		t.Fatalf("err = %v, want ErrWarmMismatch", err)
 	}
 }
 

@@ -1,8 +1,10 @@
 // Package gen produces random active-time instances with
 // deterministic seeding: laminar (nested) families built by recursive
-// window splitting, unit-job variants, and general instances with
-// arbitrary (possibly crossing) windows. Generators retry until the
-// instance is feasible, so callers always receive solvable inputs.
+// window splitting, tight laminar forests whose windows own just
+// enough slots for their jobs, unit-job variants, and general
+// instances with arbitrary (possibly crossing) windows. Generators
+// retry until the instance is feasible (or are feasible by
+// construction), so callers always receive solvable inputs.
 package gen
 
 import (
@@ -30,6 +32,19 @@ type LaminarParams struct {
 	// MaxProcessing caps job processing times (clamped to window
 	// length). Zero means no cap beyond the window.
 	MaxProcessing int64
+	// Tight switches to the tight forest shape (see RandomLaminar);
+	// Horizon and SplitProb are then unused.
+	Tight bool
+}
+
+// TightLaminar returns tight-mode parameters for n jobs: p ∈ {1,2},
+// nesting depth at most 4, about four jobs per window.
+func TightLaminar(n int, g int64) LaminarParams {
+	p := DefaultLaminar(n, g)
+	p.JobsPerWindow = 4
+	p.MaxProcessing = 2
+	p.Tight = true
+	return p
 }
 
 // DefaultLaminar returns sensible parameters for n jobs.
@@ -48,7 +63,19 @@ func DefaultLaminar(n int, g int64) LaminarParams {
 // RandomLaminar generates a feasible nested instance. The window
 // family is built by recursively splitting the horizon, so it is
 // laminar by construction.
+//
+// In tight mode it instead grows a random forest of windows (depth at
+// most MaxDepth, about JobsPerWindow jobs each, processing times in
+// {1, 2} capped by MaxProcessing) in which every window owns
+// max(⌈vol/g⌉, max p) slots of its own beside its children: just
+// enough for its own jobs, so the instance is feasible by
+// construction and has no slack to spare. These are the shapes on
+// which a greedy that fills windows innermost-first runs out of room
+// and must shift nested jobs to place an outer one.
 func RandomLaminar(rng *rand.Rand, p LaminarParams) *instance.Instance {
+	if p.Tight {
+		return tightLaminar(rng, p)
+	}
 	for {
 		in := tryLaminar(rng, p)
 		if in != nil && feasible(in) {
@@ -100,6 +127,73 @@ func tryLaminar(rng *rand.Rand, p LaminarParams) *instance.Instance {
 		return nil
 	}
 	return in
+}
+
+func tightLaminar(rng *rand.Rand, p LaminarParams) *instance.Instance {
+	n := maxInt(p.MaxJobs, 1)
+	per := maxInt(p.JobsPerWindow, 1)
+	maxP := p.MaxProcessing
+	if maxP < 1 || maxP > 2 {
+		maxP = 2
+	}
+	// A random recursive forest: the first trees nodes are roots, every
+	// later node hangs below a random earlier one within the depth cap.
+	nodes := (n + per - 1) / per
+	trees := 1 + nodes/64
+	if p.MaxDepth <= 1 {
+		trees = nodes
+	}
+	parent := make([]int, nodes)
+	depth := make([]int, nodes)
+	children := make([][]int, nodes)
+	for i := range parent {
+		parent[i] = -1
+		if i < trees {
+			continue
+		}
+		q := rng.Intn(i)
+		for depth[q]+1 >= p.MaxDepth {
+			q = parent[q]
+		}
+		parent[i], depth[i] = q, depth[q]+1
+		children[q] = append(children[q], i)
+	}
+	count := make([]int, nodes)
+	for i := range count {
+		count[i] = 1
+	}
+	for k := nodes; k < n; k++ {
+		count[rng.Intn(nodes)]++
+	}
+	jobs := make([]instance.Job, 0, n)
+	// emit lays out node v from slot lo: a random share of its own pad,
+	// then its children back to back, then the rest of the pad.
+	var emit func(v int, lo int64) int64
+	emit = func(v int, lo int64) int64 {
+		own := make([]int64, count[v])
+		var vol, pmax int64
+		for j := range own {
+			own[j] = 1 + rng.Int63n(maxP)
+			vol += own[j]
+			pmax = max(pmax, own[j])
+		}
+		pad := max((vol+p.G-1)/p.G, pmax)
+		left := rng.Int63n(pad + 1)
+		hi := lo + left
+		for _, c := range children[v] {
+			hi = emit(c, hi)
+		}
+		hi += pad - left
+		for _, q := range own {
+			jobs = append(jobs, instance.Job{Processing: q, Release: lo, Deadline: hi})
+		}
+		return hi
+	}
+	lo := int64(0)
+	for t := 0; t < trees; t++ {
+		lo = emit(t, lo) + 1
+	}
+	return instance.MustNew(p.G, jobs)
 }
 
 // GeneralParams controls RandomGeneral.

@@ -205,12 +205,12 @@ type Recorder struct {
 	ForestsSolved Counter
 	// Combinatorial solver (internal/comb): slots opened by lazy
 	// activation, job units placed into already-active slots, slots
-	// closed by the deactivation sweep, and max-flow fallbacks (the
-	// greedy coming up short — never expected on feasible input).
+	// closed by the deactivation sweep, and augmenting paths taken to
+	// repair a job the greedy left short.
 	CombActivations   Counter
 	CombReused        Counter
 	CombDeactivations Counter
-	CombFallbacks     Counter
+	CombRepairs       Counter
 
 	// ForestSolveNS is the latency distribution of one forest solve in
 	// nanoseconds; with Workers > 1 these overlap in wall time.
@@ -301,7 +301,7 @@ type CounterStats struct {
 	CombActivations     int64 `json:"comb_activations"`
 	CombReused          int64 `json:"comb_reused"`
 	CombDeactivations   int64 `json:"comb_deactivations"`
-	CombFallbacks       int64 `json:"comb_fallbacks"`
+	CombRepairs         int64 `json:"comb_repairs"`
 }
 
 // StageStats is one stage's aggregate timing.
@@ -343,7 +343,7 @@ func (r *Recorder) Snapshot() *Stats {
 			CombActivations:     r.CombActivations.Load(),
 			CombReused:          r.CombReused.Load(),
 			CombDeactivations:   r.CombDeactivations.Load(),
-			CombFallbacks:       r.CombFallbacks.Load(),
+			CombRepairs:         r.CombRepairs.Load(),
 		},
 		ForestSolveNS: r.ForestSolveNS.snapshot(),
 	}

@@ -72,7 +72,7 @@ var counterNames = [...]string{
 	"comb_activations",
 	"comb_reused",
 	"comb_deactivations",
-	"comb_fallbacks",
+	"comb_repairs",
 }
 
 // values lists the counter snapshot in counterNames order.
@@ -96,7 +96,7 @@ func (c CounterStats) values() []int64 {
 		c.CombActivations,
 		c.CombReused,
 		c.CombDeactivations,
-		c.CombFallbacks,
+		c.CombRepairs,
 	}
 }
 
@@ -293,7 +293,7 @@ func (g *Registry) CounterTotals() CounterStats {
 	c.CombActivations = vals[15]
 	c.CombReused = vals[16]
 	c.CombDeactivations = vals[17]
-	c.CombFallbacks = vals[18]
+	c.CombRepairs = vals[18]
 	return c
 }
 
